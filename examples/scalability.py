@@ -10,7 +10,9 @@ Run with::
 
 where *engine* is ``reference`` (default) or ``dense`` — the flat-array
 refinement engine documented in docs/performance.md — and *jobs* shards
-the version pairs over that many worker processes (``0`` = one per CPU).
+the version pairs over that many worker processes (``0`` = one per CPU)
+through the shared-memory cell pool, which runs serially when the pairs
+are too cheap to pay for it.
 With ``jobs > 1`` the whole run finishes faster while the per-pair times
 are still measured inside their worker; under CPU contention they can
 read slightly high, so keep ``jobs = 1`` for clean per-pair numbers.
@@ -19,12 +21,11 @@ read slightly high, so keep ``jobs = 1`` for clean per-pair numbers.
 import sys
 import time
 
-from repro.core import hybrid_partition, trivial_partition
-from repro.evaluation import StopwatchSeries, render_table
-from repro.experiments.parallel import run_sharded
+from repro.align import AlignConfig
+from repro.evaluation import render_table
+from repro.experiments.cells import timing_cell
+from repro.experiments.parallel import run_store_cells
 from repro.experiments.store import VersionStore
-from repro.partition import ColorInterner
-from repro.similarity import overlap_partition
 
 
 def main(scale: float = 1.0, engine: str = "reference", jobs: int = 1) -> None:
@@ -34,42 +35,24 @@ def main(scale: float = 1.0, engine: str = "reference", jobs: int = 1) -> None:
     print(f"{len(graphs)} versions, "
           f"{graphs[0].num_nodes} → {graphs[-1].num_nodes} nodes\n")
 
-    def time_pair(index: int) -> list:
-        union = store.union(index, index + 1)
-        triples = union.num_edges
-        stopwatch = StopwatchSeries()
-        interner = ColorInterner()
-        stopwatch.measure(
-            "trivial",
-            index,
-            lambda: trivial_partition(union, interner, engine=engine),
-        )
-        hybrid_interner = ColorInterner()
-        hybrid = stopwatch.measure(
-            "hybrid",
-            index,
-            lambda: hybrid_partition(union, hybrid_interner, engine=engine),
-        )
-        stopwatch.measure(
-            "overlap",
-            index,
-            lambda: overlap_partition(
-                union, interner=hybrid_interner, base=hybrid, engine=engine
-            ),
-        )
-        overlap_seconds = stopwatch.get("overlap", index)
-        return [
-            f"v{index + 1}->v{index + 2}",
-            triples,
-            round(stopwatch.get("trivial", index), 4),
-            round(stopwatch.get("hybrid", index), 4),
-            round(overlap_seconds, 4),
-            round(1e6 * overlap_seconds / triples, 2),
-        ]
-
+    # The Figure 16 cell times Trivial, Hybrid and Overlap on one pair.
+    config = AlignConfig(engine=engine, jobs=jobs)
     started = time.perf_counter()
-    rows = run_sharded(time_pair, range(len(graphs) - 1), jobs=jobs)
+    cells = run_store_cells(
+        store, timing_cell, range(len(graphs) - 1), jobs=jobs, config=config
+    )
     elapsed = time.perf_counter() - started
+    rows = [
+        [
+            f"v{index + 1}->v{index + 2}",
+            cell["triples"],
+            cell["trivial_s"],
+            cell["hybrid_s"],
+            cell["overlap_s"],
+            round(1e6 * cell["overlap_s"] / cell["triples"], 2),
+        ]
+        for index, cell in enumerate(cells)
+    ]
     print(render_table(
         ["pair", "triples", "trivial (s)", "hybrid (s)", "overlap (s)", "overlap µs/triple"],
         rows,

@@ -1,13 +1,13 @@
 """Pool-boundary picklability: what may cross into a worker process.
 
-The shared-memory pool of PR 7 ships its cell callable to the workers
+The shared-memory pool ships its cell callable to the workers
 *by reference* (module + qualified name) — the property that lets the
 pool run under the ``spawn`` start method.  A lambda, a closure, or a
 locally-defined function pickles either not at all (spawn) or by value
 capturing parent state (fork), and the failure only shows up minutes
 into a pooled run on the one platform whose default start method
 differs.  This rule pins the contract at the call site: anything
-submitted to ``run_store_cells`` / ``run_sharded`` /
+submitted to ``run_store_cells`` /
 ``SharedStorePool.map{,_partial}`` / executor ``submit`` must resolve
 to a module-level callable (the :mod:`repro.experiments.cells` idiom),
 and nothing in ``initargs=`` may be a lambda.
@@ -21,10 +21,7 @@ from typing import Iterator
 from ..framework import Checker, Finding, ModuleInfo, register_checker
 from ._util import call_name, module_level_callables, walk_with_parents
 
-#: ``call name -> index of the callable argument``.  ``run_sharded`` is
-#: deliberately absent: it is the legacy fork-only path, and closures
-#: are picklable-by-value under fork — only the shm pool (which must
-#: also run under spawn) carries the by-reference contract.
+#: ``call name -> index of the callable argument``.
 _POOL_ENTRYPOINTS = {
     "run_store_cells": 1,
 }

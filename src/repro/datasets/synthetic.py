@@ -341,7 +341,7 @@ class SyntheticGenerator:
         Accepts either a full :class:`SyntheticConfig` or its keyword
         fields; the memo key is the complete config, so every distinct
         scenario gets exactly one instance per process (which is what
-        lets the ``VersionStore`` and forked parallel workers share it).
+        lets every ``VersionStore`` of the process share it).
         """
         from .registry import shared_instance
 

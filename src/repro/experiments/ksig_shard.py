@@ -48,7 +48,7 @@ from ..model.csr import CSRGraph
 from ..model.graph import NodeId, TripleGraph
 from ..partition.coloring import Partition
 from ..partition.interner import ColorInterner
-from .parallel import fork_available, in_worker, mark_worker, usable_cpus
+from .parallel import default_start_method, in_worker, mark_worker, usable_cpus
 from .shm import ShmRegistry, attach_bytes, attach_segment, shm_available
 
 #: Attached shard state of one worker process (set by the initializer).
@@ -198,8 +198,7 @@ def _run_pooled(
     sub_offsets, sub_predicates, sub_objects = csr.subgraph_pairs(subset_ids)
     count = len(colors)
     shards = _shard_bounds(len(subset_ids), workers)
-    start_method = "fork" if fork_available() else "spawn"
-    context = multiprocessing.get_context(start_method)
+    context = multiprocessing.get_context(default_start_method())
 
     with ShmRegistry() as registry:
         manifest = {

@@ -2,33 +2,29 @@
 
 The paper's evaluation (Figures 9–16) is dominated by *matrices* of
 alignment runs: every cell of a version-pair grid is an independent
-computation over immutable per-version artifacts.  Two execution paths
-fan such cells out over worker processes, both merging results in
-deterministic (submission) order so ``jobs=4`` produces byte-identical
-reports to ``jobs=1``:
-
-* :func:`run_sharded` — the legacy copy-on-write path: a fork-based pool
-  created per call, workers inheriting the parent's prepared artifacts.
-  Kept for callables that close over arbitrary state; fork-only.
-* :class:`SharedStorePool` / :func:`run_store_cells` — the
-  shared-memory path.  The parent publishes a
-  :class:`~repro.experiments.store.VersionStore`'s artifacts into named
-  ``multiprocessing.shared_memory`` segments **once**
-  (:meth:`VersionStore.publish_shared`); a persistent pool of workers
-  attaches by name (CSR index arrays as zero-copy numpy views), so only
-  ``(cell, items_manifest, index)`` ever crosses the process boundary.
-  This works under both ``fork`` and ``spawn`` start methods — segment
-  names are picklable — which is what makes the pool usable on
-  platforms without ``fork``.
+computation over immutable per-version artifacts.
+:func:`run_store_cells` fans such cells out over a
+:class:`SharedStorePool` and merges results in deterministic
+(submission) order, so ``jobs=4`` produces byte-identical reports to
+``jobs=1``.  The parent publishes a
+:class:`~repro.experiments.store.VersionStore`'s artifacts into named
+``multiprocessing.shared_memory`` segments **once**
+(:meth:`VersionStore.publish_shared`); a persistent pool of workers
+attaches by name (CSR index arrays as zero-copy numpy views), so only
+``(cell, items_manifest, index)`` ever crosses the process boundary.
+This works under both ``fork`` and ``spawn`` start methods — segment
+names are picklable, and cells are module-level functions of
+``(store, config, item)`` (see :mod:`repro.experiments.cells`) — which
+is what makes the pool usable on platforms without ``fork``.
 
 Overhead-aware scheduling
 -------------------------
 
-Forking at a loss is the failure mode this module replaces (the old
-per-call fork pool re-pickled graphs until ``jobs=4`` ran 2.3x *slower*
-than serial).  :func:`effective_jobs` therefore refuses to shard when
-the projected parallel saving — ``est_cell_seconds × cells × (1 −
-1/workers)`` against the *measured* pool start/attach overhead
+Forking at a loss is the failure mode this module guards against (an
+early per-call fork pool re-pickled graphs until ``jobs=4`` ran 2.3x
+*slower* than serial).  :func:`effective_jobs` therefore refuses to
+shard when the projected parallel saving — ``est_cell_seconds × cells ×
+(1 − 1/workers)`` against the *measured* pool start/attach overhead
 (:func:`pool_overhead`) — cannot pay for the pool.
 :func:`run_store_cells` autotunes the estimate by timing the first cell
 when the caller has none.
@@ -75,21 +71,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from ..exceptions import ExperimentError, TransientError, WorkerCrashError
 from ..robustness import faults
 from ..robustness.retry import DegradationEvent, RetryPolicy, record_event
 from .shm import ShmRegistry, attach_pickle, shm_available
 
-Item = TypeVar("Item")
-Result = TypeVar("Result")
-
-#: Captured by the forked workers; only valid while a pool is running.
-_TASK: Callable | None = None
-_ITEMS: Sequence | None = None
-
-#: Set inside workers so nested ``run_sharded`` calls stay serial.
+#: Set inside workers so nested pools stay serial.
 _IN_WORKER = False
 
 #: Measured pool start/attach overhead in seconds (``None`` = not yet
@@ -144,11 +133,10 @@ def pool_overhead() -> float:
     """
     global _MEASURED_OVERHEAD
     if _MEASURED_OVERHEAD is None:
-        method = "fork" if fork_available() else "spawn"
         start = time.perf_counter()
         pool = None
         try:
-            context = multiprocessing.get_context(method)
+            context = multiprocessing.get_context(default_start_method())
             pool = ProcessPoolExecutor(max_workers=2, mp_context=context)
             pool.submit(_noop).result(timeout=_PROBE_TIMEOUT)
             pool.shutdown(wait=True)
@@ -189,8 +177,17 @@ def effective_jobs(
 
 
 def fork_available() -> bool:
-    """Can this platform run the copy-on-write worker pool?"""
+    """Does this platform offer the ``fork`` start method?"""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def default_start_method() -> str:
+    """The start method every pool uses unless told otherwise.
+
+    ``fork`` where the platform has it (workers start without
+    re-importing the package), ``spawn`` everywhere else.
+    """
+    return "fork" if fork_available() else "spawn"
 
 
 def in_worker() -> bool:
@@ -202,47 +199,6 @@ def mark_worker() -> None:
     """Flag this process as a pool worker (called by worker initializers)."""
     global _IN_WORKER
     _IN_WORKER = True
-
-
-def _invoke(index: int):
-    global _IN_WORKER
-    _IN_WORKER = True
-    assert _TASK is not None and _ITEMS is not None
-    return _TASK(_ITEMS[index])
-
-
-def run_sharded(
-    task: Callable[[Item], Result],
-    items: Sequence[Item],
-    jobs: int | None = 1,
-) -> list[Result]:
-    """``[task(item) for item in items]``, sharded over *jobs* processes.
-
-    Results are returned in item order regardless of which worker finished
-    first — the deterministic merge that keeps parallel figure reports
-    byte-identical to serial ones.  *task* must be a pure function of its
-    item (plus read-only state prepared before the call) and must return
-    a picklable value; it is executed in forked workers, so in-worker
-    mutations of shared objects are invisible to the parent and to other
-    cells.
-
-    ``jobs=1`` (the default), a single item, platforms without ``fork``
-    and nested calls from inside a worker all use the plain serial loop.
-    """
-    items = list(items)
-    jobs = effective_jobs(jobs, len(items))
-    if jobs <= 1 or _IN_WORKER or not fork_available():
-        return [task(item) for item in items]
-
-    global _TASK, _ITEMS
-    previous = (_TASK, _ITEMS)
-    _TASK, _ITEMS = task, items
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            return list(pool.map(_invoke, range(len(items))))
-    finally:
-        _TASK, _ITEMS = previous
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +281,7 @@ class SharedStorePool:
             raise ExperimentError("shared memory is not available on this platform")
         if jobs < 1:
             raise ExperimentError(f"a pool needs at least one worker, got {jobs}")
-        method = context or ("fork" if fork_available() else "spawn")
+        method = context or default_start_method()
         if method not in multiprocessing.get_all_start_methods():
             raise ExperimentError(f"start method {method!r} is unavailable")
         self.jobs = jobs
@@ -576,11 +532,10 @@ def run_store_cells(
 ) -> list:
     """``[cell(store, config, item) for item in items]``, shm-sharded.
 
-    The store-aware successor of :func:`run_sharded`: *cell* must be a
-    module-level function of ``(store, config, item)`` (picklable by
-    reference, so the pool works under ``spawn`` too).  Serial and
-    parallel runs produce identical results — cells are deterministic
-    functions of the store's immutable artifacts.
+    *cell* must be a module-level function of ``(store, config, item)``
+    (picklable by reference, so the pool works under ``spawn`` too).
+    Serial and parallel runs produce identical results — cells are
+    deterministic functions of the store's immutable artifacts.
 
     Scheduling is overhead-aware: without *est_cell_seconds* the first
     cell is timed in-process and used as the estimate; the pool only

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import pathlib
+import signal
 
 import pytest
 
@@ -100,6 +102,18 @@ def _worker_dependent_runner(graph, config, context):
     )
 
 
+def _worker_killing_runner(graph, config, context):
+    """Broken on purpose: every pool worker that runs it dies."""
+    if multiprocessing.current_process().name != "MainProcess":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return BaselineResult(
+        method="broken_pool_probe",
+        graph=graph,
+        alignment=PairAlignment(graph, set()),
+        engine=config.engine,
+    )
+
+
 class TestKbisimAxis:
     """The k-bisimulation boundedness sweep (``--axis kbisim``)."""
 
@@ -126,13 +140,13 @@ class TestKbisimAxis:
 class TestOracleTeeth:
     """The oracle must catch the failure modes it exists for."""
 
-    def _run_with(self, name, runner, **kwargs):
+    def _run_with(self, name, runner, scenario=_TINY, **kwargs):
         register_method(
             MethodSpec(name=name, runner=runner, baseline=True, uses_csr=False)
         )
         try:
             return run_differential(
-                _TINY, name="teeth", methods=(name,), **kwargs
+                scenario, name="teeth", methods=(name,), **kwargs
             )
         finally:
             unregister_method(name)
@@ -145,8 +159,9 @@ class TestOracleTeeth:
         assert {d.invariant for d in report.divergences} == {"engine_parity"}
 
     def test_jobs_divergence_is_caught(self):
-        # Three versions -> two pairs: with a single pair run_sharded
-        # degrades to the serial path and the worker never runs.
+        # Three versions -> two pairs: with a single pair the jobs clamp
+        # leaves one worker, run_store_cells takes the serial path and
+        # no pool worker ever runs the broken method.
         register_method(
             MethodSpec(
                 name="broken_worker_probe",
@@ -169,6 +184,19 @@ class TestOracleTeeth:
         assert any(
             d.invariant == "jobs_determinism" for d in report.divergences
         )
+
+    def test_degraded_pool_is_a_jobs_divergence(self):
+        """A worker that always crashes degrades the pool to serial; the
+        serial rerun matches the baseline, so only the recorded
+        degradation can expose it."""
+        report = self._run_with(
+            "broken_pool_probe", _worker_killing_runner,
+            engines=("reference",), jobs=(2,),
+            scenario=_TINY.evolve(versions=3),
+        )
+        assert not report.ok
+        assert {d.invariant for d in report.divergences} == {"jobs_determinism"}
+        assert all("degraded" in d.detail for d in report.divergences)
 
     def test_crash_is_a_divergence_not_an_abort(self):
         """An arbitrary exception in one cell must not kill the sweep —

@@ -14,22 +14,30 @@ import pytest
 from repro.align import AlignConfig
 from repro.core.deblank import deblank_partition
 from repro.datasets.efo import EFOGenerator
+from repro.datasets.registry import clear_shared_generators
 from repro.datasets.synthetic import SCENARIOS, SyntheticGenerator
 from repro.evaluation.matrices import pairwise_matrix
 from repro.evaluation.metrics import aligned_edge_ratio
-from repro.experiments import figure10, figure13, figure15, parallel
+from repro.experiments import (
+    figure09,
+    figure10,
+    figure12,
+    figure13,
+    figure14,
+    figure15,
+    figure16,
+    parallel,
+)
 from repro.experiments.cells import edge_ratio_cell, method_counts_cell
 from repro.experiments.parallel import (
     effective_jobs,
     fork_available,
     pool_overhead,
-    run_sharded,
     run_store_cells,
 )
 from repro.experiments.shm import list_segments, shm_available
 from repro.experiments.store import VersionStore
 from repro.model.csr import CSRGraph
-from repro.model.union import CombinedGraph
 from repro.partition.interner import ColorInterner
 from repro.similarity.overlap_alignment import OverlapTrace, overlap_partition
 
@@ -38,38 +46,52 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-class TestRunSharded:
-    def test_serial_matches_map(self):
-        assert run_sharded(lambda x: x * x, range(6), jobs=1) == [
-            0, 1, 4, 9, 16, 25,
-        ]
+needs_spawn = pytest.mark.skipif(
+    "spawn" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="spawn start method unavailable",
+)
 
-    @needs_fork
-    def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert run_sharded(lambda x: x * 3, items, jobs=4) == [x * 3 for x in items]
+#: Both start methods, each skipped where the platform lacks it.
+START_METHODS = [
+    pytest.param("fork", marks=needs_fork),
+    pytest.param("spawn", marks=needs_spawn),
+]
 
-    @needs_fork
-    def test_parallel_matches_serial_for_closures(self):
-        offset = 17
-        task = lambda x: x + offset  # noqa: E731 - closures must survive the fork
-        assert run_sharded(task, range(8), jobs=3) == run_sharded(
-            task, range(8), jobs=1
-        )
 
-    @needs_fork
-    def test_worker_exceptions_propagate(self):
-        def boom(x):
-            raise ValueError(f"cell {x}")
+def _failing_cell(store, config, pair):
+    """A cell whose failure is a bug, not a transient pool fault."""
+    raise ValueError(f"cell {pair}")
 
-        with pytest.raises(ValueError):
-            run_sharded(boom, range(4), jobs=2)
 
-    def test_effective_jobs(self):
-        assert effective_jobs(1, cells=10) == 1
-        assert effective_jobs(8, cells=3) == 3
-        assert effective_jobs(None, cells=1) == 1
-        assert effective_jobs(0, cells=2) <= 2
+def _deblank_ratio_cell(store, config, pair):
+    """Deblank aligned-edge ratio of one pair, on ``config.engine``."""
+    union = store.union(*pair)
+    return _deblank_ratio(union, config.engine)
+
+
+def _deblank_ratio(union, engine: str) -> float:
+    csr = CSRGraph(union) if engine == "dense" else None
+    kwargs = {"csr": csr} if csr is not None else {}
+    partition = deblank_partition(union, ColorInterner(), engine=engine, **kwargs)
+    return aligned_edge_ratio(union, partition)
+
+
+def _overlap_trace_cell(store, config, pair):
+    """The full Algorithm 2 diagnostics of one pair, on ``config.engine``."""
+    union = store.union(*pair)
+    csr = CSRGraph(union) if config.engine == "dense" else None
+    trace = OverlapTrace()
+    weighted = overlap_partition(
+        union, theta=0.65, interner=ColorInterner(), trace=trace,
+        engine=config.engine, csr=csr,
+    )
+    return (
+        trace.literal_matches,
+        tuple(trace.rounds),
+        trace.stopped_by_round_limit,
+        tuple(stats.rounds for stats in trace.weight_stats),
+        weighted.partition.num_classes,
+    )
 
 
 class TestOverheadScheduling:
@@ -103,6 +125,12 @@ class TestOverheadScheduling:
     def test_no_estimate_keeps_plain_clamping(self):
         # Without an estimate the historical clamp-only behavior holds.
         assert effective_jobs(4, cells=10) == 4
+
+    def test_effective_jobs(self):
+        assert effective_jobs(1, cells=10) == 1
+        assert effective_jobs(8, cells=3) == 3
+        assert effective_jobs(None, cells=1) == 1
+        assert effective_jobs(0, cells=2) <= 2
 
     def test_pool_overhead_is_measured_once(self, monkeypatch):
         monkeypatch.setattr(parallel, "_MEASURED_OVERHEAD", None)
@@ -145,10 +173,7 @@ class TestRunStoreCells:
         assert pooled == serial
         assert list_segments() == []
 
-    @pytest.mark.skipif(
-        "spawn" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="spawn start method unavailable",
-    )
+    @needs_spawn
     def test_spawn_pool_matches_serial(self, store, pairs):
         """The no-fork (Windows-style) fallback: attach under spawn."""
         config = AlignConfig(theta=0.65)
@@ -160,6 +185,19 @@ class TestRunStoreCells:
             jobs=2, config=config, context="spawn", force=True,
         )
         assert pooled == serial
+        assert list_segments() == []
+
+    @pytest.mark.parametrize("context", START_METHODS)
+    def test_worker_value_error_propagates(self, store, pairs, context):
+        """A non-transient cell error is a bug: no retry, no degradation,
+        the caller sees the worker's exception itself."""
+        events: list = []
+        with pytest.raises(ValueError, match=r"^cell \(\d+, \d+\)$"):
+            run_store_cells(
+                store, _failing_cell, pairs[:4],
+                jobs=2, context=context, force=True, events=events,
+            )
+        assert events == []
         assert list_segments() == []
 
     @needs_fork
@@ -182,54 +220,117 @@ class TestRunStoreCells:
 
 @needs_fork
 class TestPairwiseMatrixDeterminism:
+    """Store cells in the pool reproduce the serial all-pairs matrix."""
+
     @pytest.fixture(scope="class")
-    def graphs(self):
-        return EFOGenerator(scale=0.12, seed=234, versions=4).graphs()
+    def generator(self):
+        return EFOGenerator(scale=0.12, seed=234, versions=4)
 
     @pytest.mark.parametrize("engine", ["reference", "dense"])
-    def test_jobs4_byte_identical_to_serial(self, graphs, engine):
-        def cell(union: CombinedGraph) -> float:
-            interner = ColorInterner()
-            csr = CSRGraph(union) if engine == "dense" else None
-            kwargs = {"csr": csr} if csr is not None else {}
-            partition = deblank_partition(union, interner, engine=engine, **kwargs)
-            return aligned_edge_ratio(union, partition)
+    def test_jobs4_byte_identical_to_serial(self, generator, engine):
+        serial = pairwise_matrix(
+            generator.graphs(),
+            lambda union: _deblank_ratio(union, engine),
+            symmetric_fill=True,
+        )
+        pairs = [pair for pair in serial.values if pair[0] <= pair[1]]
+        pooled = run_store_cells(
+            VersionStore(generator), _deblank_ratio_cell, pairs,
+            jobs=4, config=AlignConfig(engine=engine), force=True,
+        )
+        expected = [serial[pair] for pair in pairs]
+        assert pooled == expected
+        assert repr(pooled) == repr(expected)
 
-        serial = pairwise_matrix(graphs, cell, symmetric_fill=True, jobs=1)
-        parallel = pairwise_matrix(graphs, cell, symmetric_fill=True, jobs=4)
-        assert parallel.values == serial.values
-        assert repr(sorted(parallel.values.items())) == repr(
-            sorted(serial.values.items())
+    @pytest.mark.parametrize("engine", ["reference", "dense"])
+    def test_overlap_traces_identical(self, generator, engine):
+        """The full Algorithm 2 diagnostics match serial, cell for cell."""
+        config = AlignConfig(engine=engine)
+        store = VersionStore(generator)
+        pairs = [(0, 1), (1, 2), (2, 3)]
+        pooled = run_store_cells(
+            store, _overlap_trace_cell, pairs, jobs=3, config=config, force=True
+        )
+        assert pooled == [_overlap_trace_cell(store, config, pair) for pair in pairs]
+
+
+class TestFigureDeterminism:
+    """``jobs>1`` figures equal ``jobs=1`` ones, with the pool really used.
+
+    Autotune declines the pool for cheap cells (figures 9 and 12 only
+    count), so the measured overhead is pinned to zero and the machine
+    to four CPUs; ``pool_starts`` proves the pool then ran.
+    """
+
+    @pytest.fixture(autouse=True)
+    def pool_always_pays(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_MEASURED_OVERHEAD", 0.0)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+
+    @pytest.fixture
+    def pool_starts(self, monkeypatch):
+        starts: list = []
+        real_init = parallel.SharedStorePool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            starts.append(kwargs.get("context") or parallel.default_start_method())
+            real_init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(parallel.SharedStorePool, "__init__", counting_init)
+        return starts
+
+    @pytest.fixture
+    def start_method(self, request, monkeypatch):
+        monkeypatch.setattr(parallel, "default_start_method", lambda: request.param)
+        return request.param
+
+    def _serial_and_pooled(self, module, pool_starts, start_method, **kwargs):
+        # The pooled run goes first, on a cold process-wide store, so it
+        # publishes only what the figure itself warms (ground truth!).
+        clear_shared_generators()
+        pooled = module.run(config=AlignConfig(jobs=2), **kwargs)
+        assert pool_starts and set(pool_starts) == {start_method}
+        assert list_segments() == []
+        started = len(pool_starts)
+        serial = module.run(config=AlignConfig(jobs=1), **kwargs)
+        assert len(pool_starts) == started
+        return serial, pooled
+
+    @pytest.mark.parametrize("start_method", START_METHODS, indirect=True)
+    @pytest.mark.parametrize(
+        "module, kwargs",
+        [
+            (figure09, {"scale": 0.12}),
+            (figure12, {"scale": 0.2}),
+            (figure14, {"scale": 0.2}),
+            (figure15, {"scale": 0.2, "source_version": 2}),
+        ],
+        ids=["figure09", "figure12", "figure14", "figure15"],
+    )
+    def test_count_figures_pooled_identical(
+        self, module, kwargs, pool_starts, start_method
+    ):
+        serial, pooled = self._serial_and_pooled(
+            module, pool_starts, start_method, versions=4, **kwargs
+        )
+        assert pooled.rows == serial.rows
+        assert pooled.render() == serial.render()
+
+    @pytest.mark.parametrize("start_method", START_METHODS, indirect=True)
+    def test_figure16_pooled_identical_but_timings(self, pool_starts, start_method):
+        serial, pooled = self._serial_and_pooled(
+            figure16, pool_starts, start_method, scale=0.2, versions=4
         )
 
-    @pytest.mark.parametrize("engine", ["reference", "dense"])
-    def test_overlap_traces_identical(self, graphs, engine):
-        """The full Algorithm 2 diagnostics match serial, cell for cell."""
+        def untimed(rows):
+            return [
+                {key: value for key, value in row.items() if not key.endswith("_s")}
+                for row in rows
+            ]
 
-        def cell(pair):
-            source, target = pair
-            union = CombinedGraph(graphs[source], graphs[target])
-            interner = ColorInterner()
-            csr = CSRGraph(union) if engine == "dense" else None
-            trace = OverlapTrace()
-            weighted = overlap_partition(
-                union, theta=0.65, interner=interner, trace=trace,
-                engine=engine, csr=csr,
-            )
-            return (
-                trace.literal_matches,
-                tuple(trace.rounds),
-                trace.stopped_by_round_limit,
-                tuple(stats.rounds for stats in trace.weight_stats),
-                weighted.partition.num_classes,
-            )
+        assert untimed(pooled.rows) == untimed(serial.rows)
+        assert pooled.parameters == serial.parameters
 
-        pairs = [(0, 1), (1, 2), (2, 3)]
-        assert run_sharded(cell, pairs, jobs=3) == [cell(pair) for pair in pairs]
-
-
-@needs_fork
-class TestFigureDeterminism:
     def test_figure10_parallel_identical(self):
         serial = figure10.run(scale=0.12, versions=4, config=AlignConfig(jobs=1))
         parallel = figure10.run(scale=0.12, versions=4, config=AlignConfig(jobs=3))

@@ -23,13 +23,14 @@ import pytest
 
 from repro.align import AlignConfig
 from repro.exceptions import WorkerCrashError
+from repro.experiments import figure14, parallel
 from repro.experiments.cells import edge_ratio_cell
 from repro.experiments.parallel import (
     SharedStorePool,
     fork_available,
     run_store_cells,
 )
-from repro.robustness import FaultPlan, FaultSpec, inject
+from repro.robustness import FaultPlan, FaultSpec, drain_events, inject
 from repro.experiments.shm import (
     ShmRegistry,
     attach_bytes,
@@ -255,4 +256,39 @@ class TestFaultPlanLeaks:
         config = AlignConfig(retries=2, cell_timeout=1.5)
         assert self._run(store, plan, config, events) == clean
         assert events == []
+        assert list_segments() == []
+
+    def test_figure_recovers_from_worker_sigkill(self, monkeypatch):
+        """A whole figure, not just a bare cell list, rides the recovery
+        path: one killed worker is retried away without degradation."""
+        # Autotune would decline the pool for a figure this small.
+        monkeypatch.setattr(parallel, "_MEASURED_OVERHEAD", 0.0)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        started: list = []
+        real_init = SharedStorePool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            started.append(kwargs.get("attempt", 0))
+            real_init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(SharedStorePool, "__init__", counting_init)
+        clean = figure14.run(scale=0.2, versions=4, config=AlignConfig(jobs=1))
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="worker.cell", kind="sigkill",
+                    index=0, attempts=(0,), times=1,
+                ),
+            ),
+            name="figure14-sigkill-once",
+        )
+        drain_events()
+        with inject(plan):
+            faulted = figure14.run(
+                scale=0.2, versions=4, config=AlignConfig(jobs=2, retries=2)
+            )
+        assert faulted.rows == clean.rows
+        assert faulted.render() == clean.render()
+        assert started == [0, 1]  # the crash cost one retry, nothing more
+        assert drain_events() == []
         assert list_segments() == []
