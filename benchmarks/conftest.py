@@ -10,6 +10,7 @@ asserts the paper's qualitative shape and saves the rendered report under
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 
@@ -62,6 +63,23 @@ def record_bench(
         BENCH_JSON, name, seconds, speedup,
         baseline_seconds=baseline_seconds, jobs=jobs, cpus=cpus, k=k,
     )
+
+
+def best_of_interleaved(first, second, repeats=5):
+    """Best-of-N for two rivals, alternating runs so load drift cancels.
+
+    Timing ratios are asserted on the result; interleaving means a
+    background spike penalizes both rivals rather than whichever ran
+    second.  Returns ``(first_s, first_result, second_s, second_result)``.
+    """
+    bests = [float("inf"), float("inf")]
+    results = [None, None]
+    for _ in range(repeats):
+        for position, function in enumerate((first, second)):
+            started = time.perf_counter()
+            results[position] = function()
+            bests[position] = min(bests[position], time.perf_counter() - started)
+    return bests[0], results[0], bests[1], results[1]
 
 
 @pytest.fixture(autouse=True)

@@ -19,8 +19,6 @@ The workloads deliberately span both regimes discussed there:
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.dense import _np as _HAS_NUMPY, dense_refine_fixpoint
@@ -30,6 +28,8 @@ from repro.datasets import EFOGenerator
 from repro.model import combine
 from repro.partition.coloring import label_partition
 from repro.partition.interner import ColorInterner
+
+from .conftest import best_of_interleaved
 
 #: EFO pair scales, smallest to largest; the last entry is "the largest
 #: scalability workload" of the acceptance criterion.
@@ -63,22 +63,6 @@ def _run_dense(union):
     )
 
 
-def _best_of_interleaved(first, second, repeats=5):
-    """Best-of-N for two rivals, alternating runs so load drift cancels.
-
-    Timing ratios are asserted below; interleaving means a background
-    spike penalizes both engines rather than whichever ran second.
-    """
-    bests = [float("inf"), float("inf")]
-    results = [None, None]
-    for _ in range(repeats):
-        for position, function in enumerate((first, second)):
-            started = time.perf_counter()
-            results[position] = function()
-            bests[position] = min(bests[position], time.perf_counter() - started)
-    return bests[0], results[0], bests[1], results[1]
-
-
 @pytest.mark.parametrize("scale", SCALES)
 def test_reference_engine(benchmark, efo_pairs, scale):
     partition = benchmark(lambda: _run_reference(efo_pairs[scale]))
@@ -104,7 +88,7 @@ def test_dense_speedup_on_largest_workload(efo_pairs, results_dir):
     speedups = {}
     for scale in SCALES:
         union = efo_pairs[scale]
-        reference_time, reference, dense_time, dense = _best_of_interleaved(
+        reference_time, reference, dense_time, dense = best_of_interleaved(
             lambda: _run_reference(union), lambda: _run_dense(union)
         )
         assert dense.equivalent_to(reference), f"engines diverged at scale {scale}"
@@ -137,7 +121,7 @@ def test_dense_speedup_on_largest_workload(efo_pairs, results_dir):
         # One slow outlier on a noisy shared runner shouldn't go red:
         # re-measure the gated workload once with more repeats.
         union = efo_pairs[largest]
-        reference_time, _, dense_time, _ = _best_of_interleaved(
+        reference_time, _, dense_time, _ = best_of_interleaved(
             lambda: _run_reference(union), lambda: _run_dense(union), repeats=10
         )
         speedups[largest] = max(

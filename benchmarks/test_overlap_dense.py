@@ -15,13 +15,13 @@ is written to ``results/overlap_dense.txt`` — the numbers quoted in
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.api import align_versions
 from repro.core.dense import _np as _HAS_NUMPY
 from repro.datasets.mutations import mutation_workload
+
+from .conftest import best_of_interleaved
 
 #: Mutation-workload scales, smallest to largest; the last entry is "the
 #: largest mutation workload" of the acceptance criterion.  The builder
@@ -42,18 +42,6 @@ def workloads():
 def _run(workload, engine):
     source, target = workload
     return align_versions(source, target, method="overlap", engine=engine)
-
-
-def _best_of_interleaved(first, second, repeats=3):
-    """Best-of-N for two rivals, alternating runs so load drift cancels."""
-    bests = [float("inf"), float("inf")]
-    results = [None, None]
-    for _ in range(repeats):
-        for position, function in enumerate((first, second)):
-            started = time.perf_counter()
-            results[position] = function()
-            bests[position] = min(bests[position], time.perf_counter() - started)
-    return bests[0], results[0], bests[1], results[1]
 
 
 @pytest.mark.parametrize("engine", ["reference", "dense"])
@@ -92,9 +80,10 @@ def test_dense_overlap_speedup_on_largest_workload(workloads, results_dir):
     ]
     speedups = {}
     for scale in SCALES:
-        reference_time, reference, dense_time, dense = _best_of_interleaved(
+        reference_time, reference, dense_time, dense = best_of_interleaved(
             lambda: _run(workloads[scale], "reference"),
             lambda: _run(workloads[scale], "dense"),
+            repeats=3,
         )
         assert dense.partition.equivalent_to(reference.partition)
         assert dense.trace.rounds == reference.trace.rounds
@@ -123,7 +112,7 @@ def test_dense_overlap_speedup_on_largest_workload(workloads, results_dir):
     if speedups[largest] < REQUIRED_SPEEDUP:
         # One slow outlier on a noisy shared runner shouldn't go red:
         # re-measure the gated workload once with more repeats.
-        reference_time, _, dense_time, _ = _best_of_interleaved(
+        reference_time, _, dense_time, _ = best_of_interleaved(
             lambda: _run(workloads[largest], "reference"),
             lambda: _run(workloads[largest], "dense"),
             repeats=5,

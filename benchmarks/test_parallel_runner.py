@@ -27,6 +27,7 @@ measurement is appended to ``results/bench.json``.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 
@@ -178,6 +179,9 @@ def store_path() -> tuple:
 
 
 def _timed(function) -> tuple[float, tuple]:
+    # Start from an empty collector so a path never pays for a full
+    # collection of the garbage the previously timed path left behind.
+    gc.collect()
     started = time.perf_counter()
     result = function()
     return time.perf_counter() - started, result

@@ -16,6 +16,7 @@ can tell noise from regression.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 
@@ -48,6 +49,9 @@ def _fresh_store() -> VersionStore:
 
 
 def _timed(function) -> tuple[float, list]:
+    # Start from an empty collector so a path never pays for a full
+    # collection of the garbage the previously timed path left behind.
+    gc.collect()
     started = time.perf_counter()
     result = function()
     return time.perf_counter() - started, result

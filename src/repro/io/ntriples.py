@@ -10,18 +10,25 @@ versions the alignment algorithms consume:
   datatype ``^^<uri>``,
 * ``#`` comment lines and blank lines.
 
-The parser is line-oriented (as the format requires) and reports precise
-line numbers on malformed input.
+The reader is line-oriented (as the format requires).  :func:`load` matches
+each line once against one compiled full-line pattern and writes the
+triple straight into the graph's indexes, interning every distinct term
+token once per document, so all edges share one object per term.  Lines
+the pattern rejects and lines with a backslash (escapes) go through
+:func:`parse_line`, the character scanner, which is the only error and
+escape path: malformed input raises the same :class:`ParseError`, with
+column and line number, either way.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 from typing import Iterable, Iterator, TextIO
 
 from ..exceptions import ParseError
-from ..model.labels import Literal, URI, is_blank
+from ..model.labels import BLANK, Literal, URI
 from ..model.rdf import BlankNode, RDFGraph, Term
 
 _ESCAPES = {
@@ -190,6 +197,11 @@ def parse_line(line: str, line_number: int = 1) -> tuple[Term, Term, Term] | Non
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
+    return _scan_triple(stripped, line_number)
+
+
+def _scan_triple(stripped: str, line_number: int) -> tuple[Term, Term, Term]:
+    """Scan one stripped, non-comment line; raises :class:`ParseError`."""
     scanner = _LineScanner(stripped, line_number)
     subject = scanner.read_term(allow_literal=False, allow_blank=True)
     predicate = scanner.read_term(allow_literal=False, allow_blank=False)
@@ -215,11 +227,83 @@ def loads(text: str) -> RDFGraph:
     return load(io.StringIO(text))
 
 
+#: One well-formed, escape-free N-Triples line (after ``str.strip``): the
+#: subject, predicate and object tokens are groups 1-3.  It accepts exactly
+#: the backslash-free lines :func:`parse_line` accepts.  Blank labels end
+#: in a lookahead because the scanner reads them maximally (``_:b1.`` is
+#: the label ``b1.``, never ``b1`` plus the final dot); ``[^\W_]`` is
+#: :meth:`str.isalnum`, the scanner's language-tag test.
+_TRIPLE_LINE = re.compile(
+    r"(<[^>]*>|_:[\w.-]+(?![\w.-]))[ \t]*"
+    r"(<[^>]*>)[ \t]*"
+    r'(<[^>]*>|_:[\w.-]+(?![\w.-])|"[^"]*"(?:@(?:[^\W_]|-)+|\^\^<[^>]*>)?)'
+    r"[ \t]*\."
+)
+
+
+def _token_term(token: str) -> Term:
+    """The term of one token matched by :data:`_TRIPLE_LINE`."""
+    head = token[0]
+    if head == "<":
+        return URI(token[1:-1])
+    if head == "_":
+        return BlankNode(token[2:])
+    close = token.index('"', 1)
+    suffix = token[close + 1:]
+    if suffix.startswith("@"):
+        return Literal(token[1:close], language=suffix[1:])
+    if suffix:
+        return Literal(token[1:close], datatype=suffix[3:-1])
+    return Literal(token[1:close])
+
+
 def load(stream: TextIO) -> RDFGraph:
-    """Parse an N-Triples document from a file object."""
+    """Parse an N-Triples document from a file object.
+
+    Builds the same graph as ``graph_from_triples(iter_triples(stream))``,
+    down to the order of ``labels()``, but every node is one object: each
+    edge references the very term that keys the graph's labels.
+    """
     graph = RDFGraph()
-    for subject, predicate, obj in iter_triples(stream):
-        graph.add(subject, predicate, obj)
+    labels = graph._labels
+    edges = graph._edges
+    out = graph._out
+    # token text -> term; blank handle -> the one handle the graph stores.
+    tokens: dict[str, Term] = {}
+    blanks: dict[BlankNode, BlankNode] = {}
+
+    def intern(term: Term) -> Term:
+        if isinstance(term, BlankNode):
+            stored = blanks.setdefault(term, term)
+            if stored is term:
+                labels[term] = BLANK
+            return stored
+        return graph.term(term)  # type: ignore[return-value]
+
+    def from_token(token: str) -> Term:
+        term = tokens[token] = intern(_token_term(token))
+        return term
+
+    match_line = _TRIPLE_LINE.fullmatch
+    for line_number, line in enumerate(stream, start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        match = None if "\\" in stripped else match_line(stripped)
+        if match is None:
+            subject, predicate, obj = map(intern, _scan_triple(stripped, line_number))
+        else:
+            subject_token, predicate_token, obj_token = match.groups()
+            subject = tokens.get(subject_token) or from_token(subject_token)
+            predicate = tokens.get(predicate_token) or from_token(predicate_token)
+            obj = tokens.get(obj_token) or from_token(obj_token)
+        before = len(edges)
+        edges.add((subject, predicate, obj))
+        if len(edges) != before:
+            pairs = out.get(subject)
+            if pairs is None:
+                out[subject] = pairs = set()
+            pairs.add((predicate, obj))
     return graph
 
 

@@ -99,9 +99,14 @@ class TripleGraph:
         for role, node in (("subject", subject), ("predicate", predicate), ("object", obj)):
             if node not in self._labels:
                 raise GraphError(f"{role} {node!r} of edge is not a node of the graph")
-        edge = (subject, predicate, obj)
-        if edge not in self._edges:
-            self._edges.add(edge)
+        self._link(subject, predicate, obj)
+
+    def _link(self, subject: NodeId, predicate: NodeId, obj: NodeId) -> None:
+        """Insert an edge between existing nodes, hashing a new edge once."""
+        edges = self._edges
+        before = len(edges)
+        edges.add((subject, predicate, obj))
+        if len(edges) != before:
             self._out.setdefault(subject, set()).add((predicate, obj))
             self._occurrences = None  # invalidate the lazy reverse index
 

@@ -81,11 +81,19 @@ class RDFGraph(TripleGraph):
     # Construction
     # ------------------------------------------------------------------
     def term(self, term: Term) -> NodeId:
-        """Ensure *term* has a node in the graph and return its identifier."""
+        """Ensure *term* has a node in the graph and return its identifier.
+
+        A URI or literal comes back as the object the graph already stores
+        for it, so the edges added through :meth:`add` share one object per
+        node and lookups with them hit the identity shortcut.
+        """
         if isinstance(term, BlankNode):
             return self.add_node(term, BLANK)
         if isinstance(term, (URI, Literal)):
-            return self.add_node(term, term)
+            stored = self._labels.setdefault(term, term)
+            if stored is term or stored == term:
+                return stored
+            return self.add_node(term, term)  # raises: the node has another label
         raise RDFWellFormednessError(
             f"{term!r} is not an RDF term (expected URI, Literal or BlankNode)"
         )
@@ -102,7 +110,7 @@ class RDFGraph(TripleGraph):
             raise RDFWellFormednessError(
                 f"predicate must be a URI, got {predicate!r}"
             )
-        self.add_edge(self.term(subject), self.term(predicate), self.term(obj))
+        self._link(self.term(subject), self.term(predicate), self.term(obj))
 
     def add_all(self, triples: Iterable[tuple[Term, Term, Term]]) -> None:
         """Add many triples at once."""
@@ -124,8 +132,9 @@ class RDFGraph(TripleGraph):
         """Check all RDF well-formedness conditions, raising on violation.
 
         Construction via :meth:`add` already guarantees them; this is a
-        belt-and-braces check for graphs built through the lower-level
-        :class:`TripleGraph` API (e.g. by the N-Triples parser).
+        belt-and-braces check for graphs built around :meth:`add` — through
+        the lower-level :class:`TripleGraph` API, or by the N-Triples
+        loader, which writes matched lines straight into the indexes.
         """
         seen_labels: set[Label] = set()
         for node in self.nodes():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from ..exceptions import AlignmentError
+from ..exceptions import AlignmentError, GraphError
 from .graph import NodeId, TripleGraph
 
 #: Side markers for the two versions.
@@ -41,16 +41,30 @@ class CombinedGraph(TripleGraph):
         super().__init__()
         self._source = source
         self._target = target
-        for node in source.nodes():
-            self.add_node((SOURCE, node), source.label(node))
-        for node in target.nodes():
-            self.add_node((TARGET, node), target.label(node))
-        for subject, predicate, obj in source.edges():
-            self.add_edge((SOURCE, subject), (SOURCE, predicate), (SOURCE, obj))
-        for subject, predicate, obj in target.edges():
-            self.add_edge((TARGET, subject), (TARGET, predicate), (TARGET, obj))
-        self._source_nodes = frozenset((SOURCE, n) for n in source.nodes())
-        self._target_nodes = frozenset((TARGET, n) for n in target.nodes())
+        labels = self._labels
+        edges = self._edges
+        out = self._out
+        lifted: list[frozenset[NodeId]] = []
+        for side, graph in ((SOURCE, source), (TARGET, target)):
+            # node -> (side, node): built once, so every edge below reuses
+            # the lifted tuples, and a missing endpoint is a failed lookup.
+            lift = {node: (side, node) for node in graph._labels}
+            labels.update(zip(lift.values(), graph._labels.values()))
+            for subject, predicate, obj in graph._edges:
+                try:
+                    edge = (lift[subject], lift[predicate], lift[obj])
+                except KeyError as missing:
+                    raise GraphError(
+                        f"endpoint {(side, missing.args[0])!r} of edge "
+                        f"{(subject, predicate, obj)!r} is not a node of the graph"
+                    ) from None
+                edges.add(edge)
+                pairs = out.get(edge[0])
+                if pairs is None:
+                    out[edge[0]] = pairs = set()
+                pairs.add(edge[1:])
+            lifted.append(frozenset(lift.values()))
+        self._source_nodes, self._target_nodes = lifted
 
     # ------------------------------------------------------------------
     # Sides

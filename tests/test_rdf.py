@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import RDFWellFormednessError
+from repro.exceptions import GraphError, RDFWellFormednessError
 from repro.model.graph import TripleGraph
 from repro.model.labels import BLANK, Literal, URI
 from repro.model.rdf import BlankNode, RDFGraph, blank, graph_from_triples, lit, uri
@@ -59,6 +59,22 @@ class TestAdd:
         g = RDFGraph()
         g.add(uri("a"), uri("p"), lit("a"))
         assert g.num_nodes == 3
+
+    def test_edges_share_one_object_per_uri_and_literal(self):
+        g = RDFGraph()
+        g.add(uri("a"), uri("p"), lit("x"))
+        g.add(uri("b"), uri("p"), uri("a"))
+        g.add(uri("a"), uri("q"), lit("x"))
+        stored = {node: node for node in g.nodes()}
+        for edge in g.edges():
+            assert all(stored[term] is term for term in edge)
+        assert g.term(uri("a")) is stored[uri("a")]
+
+    def test_term_keeps_an_existing_label(self):
+        g = RDFGraph()
+        g.add_node(uri("a"), lit("not a"))  # through the lower-level API
+        with pytest.raises(GraphError):
+            g.add(uri("a"), uri("p"), lit("x"))
 
     def test_add_all_and_graph_from_triples(self):
         triples = [

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import AlignmentError
+from repro.exceptions import AlignmentError, GraphError
 from repro.model import RDFGraph, blank, combine, combine_many, lit, uri
+from repro.model.graph import TripleGraph
 from repro.model.union import SOURCE, TARGET
 
 
@@ -66,6 +67,43 @@ class TestErrors:
         union = combine(*versions)
         with pytest.raises(AlignmentError):
             union.side_nodes(3)
+
+    def test_edge_endpoint_missing_from_labels(self):
+        graph = TripleGraph()
+        graph.add_node("a", uri("a"))
+        graph._edges.add(("a", "a", "ghost"))  # bypasses add_edge's check
+        with pytest.raises(GraphError, match="ghost"):
+            combine(RDFGraph(), graph)
+
+
+class TestBulkBuild:
+    def test_matches_per_edge_construction(self, figure1_graphs):
+        """Same labels (in order), edges, out-index and side sets as
+        building the union one ``add_node``/``add_edge`` at a time."""
+        v1, v2 = figure1_graphs
+        v2.add(uri("ss"), uri("knows"), uri("ed-uni"))
+        reference = TripleGraph()
+        for side, graph in ((SOURCE, v1), (TARGET, v2)):
+            for node in graph.nodes():
+                reference.add_node((side, node), graph.label(node))
+        for side, graph in ((SOURCE, v1), (TARGET, v2)):
+            for subject, predicate, obj in graph.edges():
+                reference.add_edge((side, subject), (side, predicate), (side, obj))
+        union = combine(v1, v2)
+        assert list(union.labels().items()) == list(reference.labels().items())
+        assert list(union.edges()) == list(reference.edges())
+        assert union.out_index() == reference.out_index()
+        assert list(union.out_index()) == list(reference.out_index())
+        assert union.source_nodes == {(SOURCE, n) for n in v1.nodes()}
+        assert union.target_nodes == {(TARGET, n) for n in v2.nodes()}
+
+    def test_edges_share_the_lifted_node_tuples(self, figure1_graphs):
+        union = combine(*figure1_graphs)
+        stored = {node: node for node in union.nodes()}
+        for edge in union.edges():
+            assert all(stored[node] is node for node in edge)
+        for node in union.source_nodes | union.target_nodes:
+            assert stored[node] is node
 
 
 class TestCombineMany:
